@@ -95,7 +95,7 @@ func main() {
 	}
 
 	srv := newServer(fleet, opts, *cadence, *buffer, *full, *ff.Workload, *ff.Policy)
-	httpSrv := &http.Server{Addr: *listen, Handler: srv.mux()}
+	httpSrv := newHTTPServer(*listen, srv.mux())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -145,4 +145,15 @@ func main() {
 		os.Exit(1)
 	}
 	log.Print("planed: drained cleanly")
+}
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers: a connection that stalls mid-header is closed instead of
+// holding a socket and a goroutine forever. It ends once the headers are
+// in, so long-lived SSE streams are unaffected.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer wraps the daemon's handler in a server with fixed limits.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }

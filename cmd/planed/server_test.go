@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -203,5 +204,48 @@ func TestStreamUnknownFloorIs404(t *testing.T) {
 	s.mux().ServeHTTP(rec, httptest.NewRequest("GET", "/floors/ghost/stream", nil))
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("stream of unknown floor = %d, want 404", rec.Code)
+	}
+}
+
+// TestStalledHeaderIsDisconnected: a client that sends half a request
+// header and then goes quiet is disconnected by the server's header
+// timeout, while a complete request on the same server is served.
+func TestStalledHeaderIsDisconnected(t *testing.T) {
+	s, _ := newTestServer(t)
+	srv := newHTTPServer("", s.mux())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want the fixed %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	srv.ReadHeaderTimeout = 100 * time.Millisecond // same mechanism, a shorter wait
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+
+	resp, err := http.Get("http://" + ln.Addr().String() + "/floors")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("complete request: status %d", resp.StatusCode)
+	}
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /floors HTTP/1.1\r\nHost: planed\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// Give up (closing our end, which fails the read) well after the
+	// server's deadline; a server-side close ends the read with EOF first.
+	giveUp := time.AfterFunc(10*time.Second, func() { conn.Close() })
+	defer giveUp.Stop()
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("server kept the stalled connection open: %v", err)
 	}
 }

@@ -133,16 +133,26 @@ func TestTrafficStreamResyncCoherentCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newServer(fleet, opts, time.Second, 2, false, "", "hybrid")
-	srv := httptest.NewServer(s.mux())
+	// The handler is held at its first flush (after subscribing and
+	// writing the bootstrap) until the ticks below are published, so it
+	// lags its ring deterministically instead of racing the publisher.
+	release := make(chan struct{})
+	mux := s.mux()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mux.ServeHTTP(gatedFlusher{w, release}, r)
+	}))
 	defer srv.Close()
 
 	fleet.Advance(time.Second) // first tick so the stream bootstraps
-	resp, err := http.Get(srv.URL + "/floors/flat/stream")
-	if err != nil {
-		t.Fatal(err)
+	type result struct {
+		resp *http.Response
+		err  error
 	}
-	defer resp.Body.Close()
-	r := bufio.NewReader(resp.Body)
+	got := make(chan result, 1)
+	go func() {
+		resp, err := http.Get(srv.URL + "/floors/flat/stream")
+		got <- result{resp, err}
+	}()
 
 	for rt.Subscribers() == 0 {
 		time.Sleep(time.Millisecond) // wait for the handler to attach
@@ -153,6 +163,13 @@ func TestTrafficStreamResyncCoherentCounters(t *testing.T) {
 	for i := 0; i < ticks; i++ {
 		fleet.Advance(time.Second)
 	}
+	close(release)
+	res := <-got
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	defer res.resp.Body.Close()
+	r := bufio.NewReader(res.resp.Body)
 
 	var (
 		lastSeq       uint64
@@ -194,4 +211,15 @@ func TestTrafficStreamResyncCoherentCounters(t *testing.T) {
 	if events >= ticks+1 {
 		t.Fatalf("slow subscriber received every one of %d events through a 2-slot ring", events)
 	}
+}
+
+// gatedFlusher holds every Flush until release is closed.
+type gatedFlusher struct {
+	http.ResponseWriter
+	release <-chan struct{}
+}
+
+func (g gatedFlusher) Flush() {
+	<-g.release
+	g.ResponseWriter.(http.Flusher).Flush()
 }

@@ -239,11 +239,27 @@ func (a *Appliance) FlickerDB(t time.Duration) float64 {
 	if a.Class.FlickerDB == 0 {
 		return 0
 	}
-	block := uint64(t / flickerBlock)
-	frac := float64(t%flickerBlock) / float64(flickerBlock)
-	g0 := detrand.Gaussian(a.id, block, 0xf11c)
-	g1 := detrand.Gaussian(a.id, block+1, 0xf11c)
-	return a.Class.FlickerDB * (g0*(1-frac) + g1*frac)
+	block, frac := flickerPhase(t)
+	return flickerMix(a.Class.FlickerDB, a.flickerDraw(block), a.flickerDraw(block+1), frac)
+}
+
+// flickerPhase locates t on the flicker grid: the block it falls in and
+// the interpolation weight of the next block's draw.
+func flickerPhase(t time.Duration) (block uint64, frac float64) {
+	return uint64(t / flickerBlock), float64(t%flickerBlock) / float64(flickerBlock)
+}
+
+// flickerDraw is the appliance's standard-normal flicker draw at the
+// start of a block.
+func (a *Appliance) flickerDraw(block uint64) float64 {
+	return detrand.Gaussian(a.id, block, 0xf11c)
+}
+
+// flickerMix interpolates the draws bracketing t into the flicker in dB.
+// It is the one expression behind both FlickerDB and the plane's memoised
+// kernel, so the two agree bit for bit.
+func flickerMix(sigmaDB, g0, g1, frac float64) float64 {
+	return sigmaDB * (g0*(1-frac) + g1*frac)
 }
 
 // ReflectionCoeff returns the magnitude of the reflection coefficient the

@@ -290,7 +290,7 @@ func (l *Link) Advance(t time.Duration) uint64 {
 	// Interval fast path: the previous Advance cached the transition
 	// interval it landed in; while t stays inside it (and the timeline
 	// generation is unchanged), the mask cannot have moved.
-	if l.started && l.ivGen == l.g.tlGen.Load() && t >= l.ivStart && t < l.ivEnd {
+	if l.intervalHolds(t) {
 		return l.epoch
 	}
 	m, lo, hi, gen := l.g.maskIntervalAt(t)
@@ -371,6 +371,12 @@ func (l *Link) Advance(t time.Duration) uint64 {
 	l.mask = m
 	l.epoch++
 	return l.epoch
+}
+
+// intervalHolds reports whether the transition interval cached by the
+// last Advance is still current and contains t.
+func (l *Link) intervalHolds(t time.Duration) bool {
+	return l.started && l.ivGen == l.g.tlGen.Load() && t >= l.ivStart && t < l.ivEnd
 }
 
 // coeff returns the reflection coefficient multiplier of appliance i in the
@@ -527,7 +533,7 @@ func (l *Link) ShiftDB(t time.Duration) float64 {
 		l.p.mu.Unlock()
 		return v
 	}
-	l.p.syncShift(t)
+	l.p.syncShift(t, l.ivStart, l.intervalHolds(t))
 	for rest := on; rest != 0; rest &= rest - 1 {
 		i := bits.TrailingZeros64(rest)
 		w := l.site.noiseW[i]

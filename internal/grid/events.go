@@ -190,6 +190,13 @@ func (g *Grid) maskIntervalAt(t time.Duration) (mask uint64, start, end time.Dur
 		g.tlMasks = append(g.tlMasks, masks...)
 		g.tlTo = newTo
 	}
+	mask, start, end = g.intervalLocked(t)
+	return mask, start, end, g.tlGen.Load()
+}
+
+// intervalLocked looks up the timeline interval containing t, which the
+// horizon [tlFrom, tlTo) must cover. Caller holds tlMu.
+func (g *Grid) intervalLocked(t time.Duration) (mask uint64, start, end time.Duration) {
 	// Greatest transition at or before t.
 	i := sort.Search(len(g.tlTimes), func(i int) bool { return g.tlTimes[i] > t }) - 1
 	if i < 0 {
@@ -201,7 +208,22 @@ func (g *Grid) maskIntervalAt(t time.Duration) (mask uint64, start, end time.Dur
 	if i+1 < len(g.tlTimes) {
 		end = g.tlTimes[i+1]
 	}
-	return mask, start, end, g.tlGen.Load()
+	return mask, start, end
+}
+
+// coveredIntervalStart returns the start of the mask interval containing t
+// when the current horizon already covers t, without extending or
+// restarting it (a shift query at an instant no link advanced to must
+// not move the shared horizon). The start is conservative after a
+// horizon restart, where it is tlFrom.
+func (g *Grid) coveredIntervalStart(t time.Duration) (time.Duration, bool) {
+	g.tlMu.Lock()
+	defer g.tlMu.Unlock()
+	if !g.tlValid || t < g.tlFrom || t >= g.tlTo {
+		return 0, false
+	}
+	_, start, _ := g.intervalLocked(t)
+	return start, true
 }
 
 // TimelineGen exposes the timeline generation counter (see Link.Advance's

@@ -382,15 +382,37 @@ func BenchmarkAdvanceSwitch(b *testing.B) {
 	}
 }
 
+// BenchmarkShiftDB is the noise-shift kernel's layer-level number. Each op
+// replays one fixed set of instants over an hour of working time — a
+// 100 ms sweep of quiet minutes plus the ±800 ms neighbourhood of every
+// mask transition, where switching impulses are live — advancing the
+// link and reading ShiftDB at each, so the work per op is independent of
+// b.N. One untimed replay warms the plane first.
 func BenchmarkShiftDB(b *testing.B) {
 	g := lineGrid(8, 10)
 	for i := 0; i < 20; i++ {
 		g.Plug(ClassPhoneCharger, NodeID(1+i%6))
 	}
+	g.Plug(ClassFluorescent, 3)
+	g.Plug(ClassFridge, 5)
 	l := g.NewLink(0, 7, testFreqs())
-	l.Advance(11 * time.Hour)
+
+	from, to := 11*time.Hour, 12*time.Hour
+	var ts []time.Duration
+	for t := from; t < from+2*time.Minute; t += 100 * time.Millisecond {
+		ts = append(ts, t)
+	}
+	ts = append(ts, transitionNeighbourhoods(g, from, to)...)
+	replay := func() {
+		for _, t := range ts {
+			l.Advance(t)
+			l.ShiftDB(t)
+		}
+	}
+	replay()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.ShiftDB(11*time.Hour + time.Duration(i)*time.Millisecond)
+		replay()
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ts)), "ns/instant")
 }

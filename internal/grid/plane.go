@@ -66,10 +66,26 @@ type Plane struct {
 
 	// Flicker/impulse factors at one instant, shared by every link's
 	// ShiftDB (the per-appliance factor is mask- and pair-independent).
-	shiftT    time.Duration // guarded by mu
-	shiftInit bool          // guarded by mu
-	shiftOK   []bool        // guarded by mu
-	shiftVal  []float64     // guarded by mu
+	// shiftQuiet records the quiet-interval proof for shiftT: the mask
+	// has held since at least ImpulseDuration before it, so no appliance
+	// carries a switching impulse (see syncShift).
+	shiftT     time.Duration // guarded by mu
+	shiftInit  bool          // guarded by mu
+	shiftQuiet bool          // guarded by mu
+	shiftOK    []bool        // guarded by mu
+	shiftVal   []float64     // guarded by mu
+
+	// Per-appliance flicker memo: the two Gaussian draws bracketing the
+	// last flicker block each appliance was evaluated in.
+	flicker []flickerMemo // guarded by mu
+}
+
+// flickerMemo holds one appliance's draws at the start of block and of
+// block+1, the pair FlickerDB interpolates between.
+type flickerMemo struct {
+	block  uint64
+	g0, g1 float64
+	ok     bool
 }
 
 // applianceShared bundles the per-appliance constants every link used to
@@ -212,6 +228,7 @@ func (p *Plane) ensureAppliances() {
 		p.app = append(p.app, s)
 		p.shiftOK = append(p.shiftOK, false)
 		p.shiftVal = append(p.shiftVal, 0)
+		p.flicker = append(p.flicker, flickerMemo{})
 		if a.Class.FlickerDB != 0 || a.Class.ImpulseDB != 0 {
 			p.volatileBits |= 1 << uint(i)
 		}
@@ -227,31 +244,77 @@ func (p *Plane) maskAt(t time.Duration) uint64 {
 	return m
 }
 
-// syncShift readies the shift-factor cache for instant t. Caller holds
-// p.mu (one lock spans a whole ShiftDB pass, not one per appliance).
-func (p *Plane) syncShift(t time.Duration) {
-	if !p.shiftInit || t != p.shiftT {
-		p.shiftT = t
-		p.shiftInit = true
-		for j := range p.shiftOK {
-			p.shiftOK[j] = false
-		}
+// syncShift readies the shift-factor cache for instant t. When the caller
+// knows the start of the mask interval containing t (a link's cached
+// Advance interval), it passes it with ivKnown; otherwise the plane reads
+// the grid's timeline. Caller holds p.mu (one lock spans a whole ShiftDB
+// pass, not one per appliance). Lock order: p.mu, then the grid's tlMu.
+//
+// Quiet-interval proof: ImpulseBoostDB samples each appliance's state at
+// t and at t−100ms … t−ImpulseDuration. If the mask has held since at or
+// before t−ImpulseDuration, every sample sees the same state, so every
+// impulse is exactly 0 and the per-instant pass skips the schedule walks.
+// Interval starts are conservative (a horizon restart reports its own
+// start, negative instants have no interval), which can only route an
+// instant to the sampled fallback, never produce a wrong zero.
+func (p *Plane) syncShift(t, ivStart time.Duration, ivKnown bool) {
+	if p.shiftInit && t == p.shiftT {
+		return
 	}
+	p.shiftT = t
+	p.shiftInit = true
+	for j := range p.shiftOK {
+		p.shiftOK[j] = false
+	}
+	if !ivKnown {
+		ivStart, ivKnown = p.g.coveredIntervalStart(t)
+	}
+	p.shiftQuiet = ivKnown && t-ivStart >= ImpulseDuration
 }
 
 // shiftFactor returns 10^((flicker+impulse)/10) of appliance i at t —
 // the per-appliance fast-noise factor of ShiftDB, evaluated once per
-// instant for the whole grid (the impulse term scans the appliance's
-// recent switching history, previously re-scanned by every link).
-// Caller holds p.mu and has called syncShift(t).
+// instant for the whole grid. The impulse term is the sampled
+// ImpulseBoostDB only when syncShift could not prove it zero, and the
+// flicker term reuses the appliance's memoised block draws; both land on
+// the same bits as Appliance.FlickerDB + Appliance.ImpulseBoostDB
+// (TestShiftFactorMatchesReference). Caller holds p.mu and has called
+// syncShift(t).
 func (p *Plane) shiftFactor(t time.Duration, i int) float64 {
 	if !p.shiftOK[i] {
 		a := p.g.Appliances[i]
-		db := a.FlickerDB(t) + a.ImpulseBoostDB(t)
+		var impulse float64
+		if !p.shiftQuiet {
+			impulse = a.ImpulseBoostDB(t)
+		}
+		db := p.flickerDB(t, i) + impulse
 		p.shiftVal[i] = math.Pow(10, db/10)
 		p.shiftOK[i] = true
 	}
 	return p.shiftVal[i]
+}
+
+// flickerDB is Appliance.FlickerDB of appliance i at t, drawing each
+// block's Gaussian once: a query in the memoised block reuses both
+// draws, one in the next block inherits the old g1 as its g0 (the same
+// draw, Gaussian(id, block+1)), and any other jump draws afresh.
+// Caller holds p.mu.
+func (p *Plane) flickerDB(t time.Duration, i int) float64 {
+	a := p.g.Appliances[i]
+	if a.Class.FlickerDB == 0 {
+		return 0
+	}
+	block, frac := flickerPhase(t)
+	m := &p.flicker[i]
+	switch {
+	case m.ok && block == m.block:
+	case m.ok && block == m.block+1:
+		m.g0, m.g1 = m.g1, a.flickerDraw(block+1)
+	default:
+		m.g0, m.g1 = a.flickerDraw(block), a.flickerDraw(block+1)
+	}
+	m.block, m.ok = block, true
+	return flickerMix(a.Class.FlickerDB, m.g0, m.g1, frac)
 }
 
 // invalidateGeometry drops cached pair/site geometry after the cable
@@ -265,8 +328,10 @@ func (p *Plane) invalidateGeometry() {
 
 // invalidateSchedule resets per-instant schedule-derived caches after the
 // appliance population changes. The mask timeline itself lives on the
-// Grid (invalidateTimeline); what remains plane-side is the flicker/
-// impulse factor cache, which is sized per appliance.
+// Grid (invalidateTimeline); what remains plane-side is the per-instant
+// factor cache and its quiet-interval proof, both derived from the old
+// mask function. The flicker memo survives: an appliance's draws depend
+// only on its identity, and new appliances start with an empty memo.
 func (p *Plane) invalidateSchedule() {
 	p.mu.Lock()
 	defer p.mu.Unlock()

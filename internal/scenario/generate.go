@@ -176,9 +176,19 @@ func Generate(p Params) *Blueprint {
 	return bp
 }
 
+// maxExtentM bounds a generated floor's width and height. A city block
+// is already far beyond any PLC reach; past it the spine junction count
+// (extent / 4.5 m) stops fitting the geometry.
+const maxExtentM = 10_000
+
 // parseGen resolves a "gen:k=v,..." spec into Params. Accepted keys:
 // stations, boards, seed, width, height, interferers; terms separate on
 // ',' or ';' (the latter survives comma-separated scenario lists).
+// Values outside their documented range are errors, never clamped:
+// stations and boards must be non-negative (zero picks the default) and
+// width and height finite within [0, maxExtentM], defaulted ones
+// included. A negative interferers count keeps its documented meaning
+// of "none".
 func parseGen(spec string) (Params, error) {
 	body := strings.TrimPrefix(spec, "gen:")
 	var p Params
@@ -190,49 +200,58 @@ func parseGen(spec string) (Params, error) {
 		if !ok {
 			return p, fmt.Errorf("scenario: bad gen spec term %q (want key=value)", kv)
 		}
-		switch strings.TrimSpace(k) {
+		var err error
+		switch key := strings.TrimSpace(k); key {
 		case "stations":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return p, fmt.Errorf("scenario: bad stations %q", v)
-			}
-			p.Stations = n
+			p.Stations, err = parseCount(key, v)
 		case "boards":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return p, fmt.Errorf("scenario: bad boards %q", v)
-			}
-			p.Boards = n
+			p.Boards, err = parseCount(key, v)
 		case "seed":
-			n, err := strconv.ParseInt(v, 10, 64)
+			p.Seed, err = strconv.ParseInt(v, 10, 64)
 			if err != nil {
-				return p, fmt.Errorf("scenario: bad seed %q", v)
+				err = fmt.Errorf("scenario: bad seed %q", v)
 			}
-			p.Seed = n
 		case "width":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
-				// NaN sails through withDefaults' <= 0 check and
-				// poisons the generated geometry; reject non-finite
-				// extents here.
-				return p, fmt.Errorf("scenario: bad width %q", v)
-			}
-			p.Width = f
+			p.Width, err = parseExtent(key, v)
 		case "height":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
-				return p, fmt.Errorf("scenario: bad height %q", v)
-			}
-			p.Height = f
+			p.Height, err = parseExtent(key, v)
 		case "interferers":
-			n, err := strconv.Atoi(v)
+			p.Interferers, err = strconv.Atoi(v)
 			if err != nil {
-				return p, fmt.Errorf("scenario: bad interferers %q", v)
+				err = fmt.Errorf("scenario: bad interferers %q", v)
 			}
-			p.Interferers = n
 		default:
-			return p, fmt.Errorf("scenario: unknown gen spec key %q", k)
+			err = fmt.Errorf("scenario: unknown gen spec key %q", k)
+		}
+		if err != nil {
+			return p, err
 		}
 	}
+	// Defaulted extents scale with the station count; bound them too, so
+	// every accepted spec's canonical Spec() parses back.
+	if r := p.withDefaults(); r.Width > maxExtentM || r.Height > maxExtentM {
+		return p, fmt.Errorf("scenario: gen floor of %d stations spans %gx%g m, beyond %d m",
+			r.Stations, r.Width, r.Height, maxExtentM)
+	}
 	return p, nil
+}
+
+// parseCount reads a non-negative integer gen: value.
+func parseCount(key, v string) (int, error) {
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("scenario: bad %s %q (want a non-negative integer)", key, v)
+	}
+	return n, nil
+}
+
+// parseExtent reads a floor extent in metres. NaN and infinities would
+// slip past withDefaults' <= 0 check and poison the geometry; finite
+// values beyond maxExtentM overflow the spine junction count.
+func parseExtent(key, v string) (float64, error) {
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil || !(f >= 0 && f <= maxExtentM) {
+		return 0, fmt.Errorf("scenario: bad %s %q (want metres in [0, %d])", key, v, maxExtentM)
+	}
+	return f, nil
 }

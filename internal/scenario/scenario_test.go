@@ -155,6 +155,42 @@ func TestParseRejects(t *testing.T) {
 	}
 }
 
+// TestParseGenOutOfRange: finite but absurd extents used to reach
+// Generate, where a 1e308 m wing overflowed the spine junction count and
+// panicked with an integer divide by zero — reachable by anyone through
+// planed's POST /floors?spec=. Negative counts used to be clamped
+// silently. All are now parse errors, as is a station count whose
+// default extent is out of range; the documented "interferers<0 means
+// none" stays accepted.
+func TestParseGenOutOfRange(t *testing.T) {
+	for _, sel := range []string{
+		"gen:width=1e308", "gen:height=1e308", "gen:width=-1e308",
+		"gen:width=1e7", "gen:height=-5", "gen:width=-0.5",
+		"gen:stations=-1", "gen:stations=-9223372036854775808", "gen:boards=-3",
+		// The default width scales with stations, so it is bounded too.
+		"gen:stations=5000",
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Parse(%q) panicked: %v", sel, r)
+				}
+			}()
+			if _, err := Parse(sel); err == nil {
+				t.Fatalf("Parse(%q) succeeded", sel)
+			}
+		}()
+	}
+	for _, sel := range []string{
+		"gen:interferers=-1", "gen:width=0,height=0",
+		"gen:stations=6,width=10000,height=10000",
+	} {
+		if _, err := Parse(sel); err != nil {
+			t.Fatalf("Parse(%q): %v", sel, err)
+		}
+	}
+}
+
 func TestValidateCatches(t *testing.T) {
 	base := func() *Blueprint {
 		return &Blueprint{
